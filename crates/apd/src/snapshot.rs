@@ -61,7 +61,10 @@ impl ApdSnapshot {
             .strip_prefix("shards ")
             .and_then(|n| n.parse().ok())
             .ok_or_else(|| ApdError::Snapshot(format!("bad shard-count line {header:?}")))?;
-        let mut shards = Vec::with_capacity(count);
+        // The count is untrusted: cap the up-front reservation so a
+        // forged header cannot size an allocation (the loop below fails
+        // on the first missing block anyway).
+        let mut shards = Vec::with_capacity(count.min(4096));
         for i in 0..count {
             let block = take_block(&mut rest)
                 .ok_or_else(|| ApdError::Snapshot(format!("shard {i} block truncated")))?;
@@ -150,5 +153,14 @@ mod tests {
         let mut ok = ApdSnapshot::new(vec![populated_ap(0, 1, 2007, 1).snapshot()]).to_bytes();
         ok.extend_from_slice(b"trailing\n");
         assert!(ApdSnapshot::parse(&ok).is_err());
+    }
+
+    #[test]
+    fn huge_shard_count_is_an_error_not_an_allocation() {
+        let forged = b"hide-apdsnap/1\nshards 1000000000000000000\n";
+        assert!(matches!(
+            ApdSnapshot::parse(forged),
+            Err(ApdError::Snapshot(msg)) if msg.contains("truncated")
+        ));
     }
 }

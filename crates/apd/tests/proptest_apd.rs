@@ -111,6 +111,15 @@ proptest! {
         }
     }
 
+    /// The shard count is untrusted input: any count without its
+    /// blocks is a structured error, never an allocation sized by the
+    /// header (which aborts the process on `capacity overflow`).
+    #[test]
+    fn forged_shard_counts_are_rejected(count in 1u64..=u64::MAX) {
+        let forged = format!("hide-apdsnap/1\nshards {count}\n");
+        prop_assert!(ApdSnapshot::parse(forged.as_bytes()).is_err());
+    }
+
     #[test]
     fn apd_snapshots_round_trip(
         populations in vec(vec((any::<u32>(), vec(any::<u16>(), 0..12)), 0..20), 1..4),

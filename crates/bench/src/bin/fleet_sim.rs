@@ -9,10 +9,13 @@
 //!           [--port-churn P] [--stale-timeout SECS]
 //!           [--metrics PATH] [--summary PATH] [--trace PATH]
 //!           [--energy-attribution] [--attribution-out PATH]
-//!           [--stream-export] [--spill-dir DIR] [--spill-chunk N]
-//!           [--stream-window N] [--trace-cap N] [--stream-smoke]
+//!           [--spill-dir DIR] [--stream-smoke]
 //!           [--profile-stages] [--smoke] [--log-level LEVEL]
 //! ```
+//!
+//! Parsing is strict: an unknown flag, a flag without its value, or a
+//! value that does not parse (a number, scenario, policy, device or log
+//! level) is a usage error that names the flag, with exit status 2.
 //!
 //! `--policy` selects the suspended clients' power-save protocol:
 //! `hide` (the default; byte-identical to the pre-policy engine),
@@ -41,6 +44,15 @@
 //! merge shard ledgers in BSS order, so they are byte-identical at any
 //! `--jobs` count.
 //!
+//! Trace and attribution exports always stream: the fleet runs in
+//! bounded windows of BSS shards, each window's trace log spills to a
+//! framed `hide-spill/1` run file under `--spill-dir` (default: the OS
+//! temp dir, removed when the run ends), attribution rows stream to
+//! `--attribution-out` shard by shard, and `--trace` is rendered by a
+//! chunked k-way merge over the spilled runs. Resident memory is
+//! bounded by the window, not the fleet, and every byte matches the
+//! in-memory reference (`FleetConfig::try_run_traced_with_jobs`).
+//!
 //! `--profile-stages` runs the fleet with per-stage wall-time
 //! profiling and prints a breakdown table (setup, queue pops, DTIM
 //! sweeps, churn, refreshes, arrivals, merge) plus one
@@ -48,38 +60,27 @@
 //! nondeterministic, so this output is separate from — and never
 //! spliced into — the golden-gated `hide-metrics/1` artifact; the
 //! `--metrics`/`--summary` files stay byte-identical with the flag on.
-//! Incompatible with `--trace` (the profiled path uses the no-op
-//! sink).
+//! It is a usage error together with `--trace`, `--attribution-out` or
+//! `--stream-smoke` (the profiled run does not stream).
 //!
 //! `--smoke` shrinks the fleet for a seconds-long CI sanity run and
 //! asserts the two tier-1 invariants inline: a loss-free control run
-//! reports zero missed wakeups, and `--jobs 1` versus all-cores
-//! produces identical metrics and summary JSON.
+//! reports zero missed wakeups, and `--jobs 1` versus the requested
+//! jobs produces identical metrics (energy section included) and
+//! summary JSON.
 //!
-//! `--stream-export` switches every export onto the out-of-core
-//! pipeline: the fleet runs in bounded windows, each window's trace
-//! log spills to a framed run file under `--spill-dir` (default: the
-//! OS temp dir), attribution rows stream to `--attribution-out` shard
-//! by shard, and `--trace`/`--metrics`/`--summary` are produced by a
-//! chunked k-way merge over the spilled runs — resident memory is
-//! bounded by the window, not the fleet, and every output byte matches
-//! the in-memory path. `--spill-chunk` (events per framed chunk),
-//! `--stream-window` (shards per window) and `--trace-cap` (per-shard
-//! ring capacity) tune the residency/IO trade.
-//!
-//! `--stream-smoke` is the metro-scale CI gate: it implies
-//! `--stream-export`, streams the merged trace through a counting
-//! FNV-1a hasher (to a file when `--trace` is given, to a null sink
-//! otherwise), prints the content hash, and fails if peak RSS exceeds
-//! `stream_peak_rss_mb_ceiling` or throughput falls below
-//! `streamed_events_per_sec_floor` (both in `golden/perf_floors.toml`).
+//! `--stream-smoke` is the metro-scale CI gate: it streams the merged
+//! trace through a counting FNV-1a hasher (to a file when `--trace` is
+//! given, to a null sink otherwise), prints the content hash, and fails
+//! if peak RSS exceeds `stream_peak_rss_mb_ceiling` or throughput falls
+//! below `streamed_events_per_sec_floor` (both in
+//! `golden/perf_floors.toml`).
 
 use hide::energy::ClientEnergy;
-use hide::fleet::{
-    ChurnConfig, FleetConfig, FleetResult, StreamExportConfig, StreamSinks, StreamedFleetResult,
-};
-use hide::obs::{export, Counter, HashingWriter, DEFAULT_TRACE_CAPACITY};
+use hide::fleet::{ChurnConfig, FleetConfig, FleetResult, StreamExportConfig, StreamSinks};
+use hide::obs::{Counter, HashingWriter};
 use hide::policy::{lookup, registry_keys, WakePolicy};
+use hide_bench::cli::{self, parse_flag, Flags, Usage};
 use hide_obs::{log_error, log_info, LogLevel};
 use hide_traces::scenario::Scenario;
 use std::fs::File;
@@ -88,26 +89,182 @@ use std::path::PathBuf;
 use std::process::ExitCode;
 use std::time::Instant;
 
-fn parse_flag<T: std::str::FromStr>(args: &[String], flag: &str) -> Option<T> {
-    args.iter()
-        .position(|a| a == flag)
-        .and_then(|i| args.get(i + 1))
-        .and_then(|v| v.parse().ok())
+const USAGE: &str = "usage: fleet_sim [--bss N] [--clients N] [--adoption F] [--duration SECS] \
+[--seed N] [--jobs N] [--scenario NAME] [--policy hide|psm|scheduled[:I[:P]]] [--device NAME] \
+[--refresh-interval SECS] [--refresh-loss P] [--port-churn P] [--stale-timeout SECS] \
+[--metrics PATH] [--summary PATH] [--trace PATH] [--energy-attribution] \
+[--attribution-out PATH] [--spill-dir DIR] [--stream-smoke] [--profile-stages] [--smoke] \
+[--log-level LEVEL]";
+
+const FLAGS: Flags = Flags {
+    valued: &[
+        "--bss",
+        "--clients",
+        "--adoption",
+        "--duration",
+        "--seed",
+        "--jobs",
+        "--scenario",
+        "--policy",
+        "--device",
+        "--refresh-interval",
+        "--refresh-loss",
+        "--port-churn",
+        "--stale-timeout",
+        "--metrics",
+        "--summary",
+        "--trace",
+        "--attribution-out",
+        "--spill-dir",
+        "--log-level",
+    ],
+    switches: &[
+        "--energy-attribution",
+        "--stream-smoke",
+        "--profile-stages",
+        "--smoke",
+    ],
+};
+
+/// How a run ends unsuccessfully: a bad invocation (exit 2) or a run
+/// failure, already logged (exit 1).
+enum Fail {
+    Usage(String),
+    Run,
 }
 
-fn parse_scenario(name: &str) -> Option<Scenario> {
-    Scenario::ALL
-        .into_iter()
-        .find(|s| s.label().eq_ignore_ascii_case(name))
+impl From<Usage> for Fail {
+    fn from(u: Usage) -> Self {
+        Fail::Usage(u.0)
+    }
+}
+
+/// Logs `msg` at error level and fails the run.
+fn fail(msg: impl std::fmt::Display) -> Fail {
+    log_error!("{msg}");
+    Fail::Run
 }
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let smoke = args.iter().any(|a| a == "--smoke");
-    if let Some(level) = parse_flag::<LogLevel>(&args, "--log-level") {
+    match run(&args) {
+        Ok(()) => ExitCode::SUCCESS,
+        Err(Fail::Usage(msg)) => {
+            eprintln!("fleet_sim: {msg}\n{USAGE}");
+            ExitCode::from(2)
+        }
+        Err(Fail::Run) => ExitCode::FAILURE,
+    }
+}
+
+/// A finished run, whichever path produced it: the aggregate result,
+/// the attribution ledger's lane count and field-wise totals (a
+/// streamed run's rows left memory through the sinks), and the
+/// energy-spliced `hide-metrics/1` document.
+struct Outcome {
+    result: FleetResult,
+    lanes: usize,
+    totals: ClientEnergy,
+    metrics_with_energy: String,
+}
+
+impl Outcome {
+    fn in_memory(result: FleetResult) -> Self {
+        let ledger = result.attribution();
+        Outcome {
+            lanes: ledger.len(),
+            totals: ledger.totals(),
+            metrics_with_energy: result.metrics_json_with_energy(),
+            result,
+        }
+    }
+}
+
+fn run(args: &[String]) -> Result<(), Fail> {
+    let positionals = FLAGS.positionals(args)?;
+    if let Some(arg) = positionals.first() {
+        return Err(Fail::Usage(format!("unexpected argument {arg:?}")));
+    }
+    if let Some(level) = parse_flag::<LogLevel>(args, "--log-level")? {
         hide_obs::log::set_level(level);
     }
+    let smoke = cli::has(args, "--smoke");
+    let cfg = config(args, smoke)?;
+    let cores = std::thread::available_parallelism()
+        .map(|n| n.get())
+        .unwrap_or(1);
+    let jobs: usize = parse_flag(args, "--jobs")?.unwrap_or(cores);
 
+    let trace_path = cli::flag_value(args, "--trace")?;
+    let attr_path = cli::flag_value(args, "--attribution-out")?;
+    let stream_smoke = cli::has(args, "--stream-smoke");
+    let profile_stages = cli::has(args, "--profile-stages");
+    let streamed = trace_path.is_some() || attr_path.is_some() || stream_smoke;
+    if profile_stages && streamed {
+        return Err(Fail::Usage(
+            "--profile-stages is incompatible with --trace, --attribution-out \
+             and --stream-smoke"
+                .to_string(),
+        ));
+    }
+
+    log_info!(
+        "fleet: {} BSS x {} clients, {:.0}% adoption, {} s horizon, \
+         scenario {}, policy {}, device {}, seed {}, jobs {}",
+        cfg.bss_count,
+        cfg.clients_per_bss,
+        cfg.adoption * 100.0,
+        cfg.duration_secs,
+        cfg.scenario.label(),
+        cfg.policy.name(),
+        cfg.profile.name,
+        cfg.seed,
+        jobs,
+    );
+    let t0 = Instant::now();
+    let (outcome, wall) = if streamed {
+        let spill_dir =
+            parse_flag::<PathBuf>(args, "--spill-dir")?.unwrap_or_else(std::env::temp_dir);
+        run_streamed(&cfg, jobs, spill_dir, trace_path, attr_path, stream_smoke)?
+    } else if profile_stages {
+        let (result, profile) = cfg.try_run_profiled_with_jobs(jobs).map_err(fail)?;
+        let wall = t0.elapsed().as_secs_f64();
+        print!("{}", profile.render());
+        println!("{}", profile.to_json());
+        (Outcome::in_memory(result), wall)
+    } else {
+        let result = cfg.try_run_with_jobs(jobs).map_err(fail)?;
+        (Outcome::in_memory(result), t0.elapsed().as_secs_f64())
+    };
+
+    let energy_attr = cli::has(args, "--energy-attribution");
+    report(&outcome.result, wall);
+    if energy_attr {
+        print_attribution_totals(outcome.lanes, &outcome.totals);
+    }
+    if let Some(path) = cli::flag_value(args, "--metrics")? {
+        let rendered = if energy_attr {
+            outcome.metrics_with_energy.clone()
+        } else {
+            outcome.result.metrics_json()
+        };
+        std::fs::write(path, rendered).map_err(|e| fail(format!("writing {path}: {e}")))?;
+        log_info!("metrics written to {path}");
+    }
+    if let Some(path) = cli::flag_value(args, "--summary")? {
+        std::fs::write(path, outcome.result.summary_json())
+            .map_err(|e| fail(format!("writing {path}: {e}")))?;
+        log_info!("summary written to {path}");
+    }
+    if smoke {
+        smoke_checks(&cfg, &outcome, jobs)?;
+    }
+    Ok(())
+}
+
+/// The fleet configuration the flags describe (`--smoke` shrinks the
+/// defaults to a seconds-long run).
+fn config(args: &[String], smoke: bool) -> Result<FleetConfig, Usage> {
     let mut cfg = FleetConfig {
         bss_count: if smoke { 200 } else { 1000 },
         clients_per_bss: if smoke { 8 } else { 100 },
@@ -127,199 +284,53 @@ fn main() -> ExitCode {
         },
         ..FleetConfig::default()
     };
-    if let Some(n) = parse_flag(&args, "--bss") {
+    let set = |field: &mut f64, flag: &str| -> Result<(), Usage> {
+        if let Some(v) = parse_flag(args, flag)? {
+            *field = v;
+        }
+        Ok(())
+    };
+    if let Some(n) = parse_flag(args, "--bss")? {
         cfg.bss_count = n;
     }
-    if let Some(n) = parse_flag(&args, "--clients") {
+    if let Some(n) = parse_flag(args, "--clients")? {
         cfg.clients_per_bss = n;
     }
-    if let Some(f) = parse_flag(&args, "--adoption") {
-        cfg.adoption = f;
-    }
-    if let Some(d) = parse_flag(&args, "--duration") {
-        cfg.duration_secs = d;
-    }
-    if let Some(s) = parse_flag(&args, "--seed") {
+    if let Some(s) = parse_flag(args, "--seed")? {
         cfg.seed = s;
     }
-    if let Some(v) = parse_flag(&args, "--refresh-interval") {
-        cfg.churn.refresh_interval_secs = v;
-    }
-    if let Some(v) = parse_flag(&args, "--refresh-loss") {
-        cfg.churn.refresh_loss = v;
-    }
-    if let Some(v) = parse_flag(&args, "--port-churn") {
-        cfg.churn.port_churn = v;
-    }
-    if let Some(v) = parse_flag(&args, "--stale-timeout") {
-        cfg.churn.stale_timeout_secs = v;
-    }
-    if let Some(name) = parse_flag::<String>(&args, "--scenario") {
-        match parse_scenario(&name) {
-            Some(s) => cfg.scenario = s,
-            None => {
-                log_error!(
-                    "unknown scenario {name:?}; valid: {}",
+    set(&mut cfg.adoption, "--adoption")?;
+    set(&mut cfg.duration_secs, "--duration")?;
+    set(&mut cfg.churn.refresh_interval_secs, "--refresh-interval")?;
+    set(&mut cfg.churn.refresh_loss, "--refresh-loss")?;
+    set(&mut cfg.churn.port_churn, "--port-churn")?;
+    set(&mut cfg.churn.stale_timeout_secs, "--stale-timeout")?;
+    if let Some(name) = cli::flag_value(args, "--scenario")? {
+        cfg.scenario = Scenario::ALL
+            .into_iter()
+            .find(|s| s.label().eq_ignore_ascii_case(name))
+            .ok_or_else(|| {
+                Usage(format!(
+                    "--scenario: unknown scenario {name:?}; valid: {}",
                     Scenario::ALL.map(|s| s.label()).join(", ")
-                );
-                return ExitCode::FAILURE;
-            }
-        }
+                ))
+            })?;
     }
-    if let Some(spec) = parse_flag::<String>(&args, "--policy") {
-        match WakePolicy::parse(&spec) {
-            Ok(p) => cfg.policy = p,
-            Err(e) => {
-                log_error!("--policy {spec:?}: {e}");
-                return ExitCode::FAILURE;
-            }
-        }
+    if let Some(spec) = cli::flag_value(args, "--policy")? {
+        cfg.policy =
+            WakePolicy::parse(spec).map_err(|e| Usage(format!("--policy {spec:?}: {e}")))?;
     }
-    if let Some(name) = parse_flag::<String>(&args, "--device") {
-        match lookup(&name) {
-            Some(entry) => {
-                cfg.profile = entry.profile;
-                cfg.battery = entry.battery();
-            }
-            None => {
-                log_error!(
-                    "unknown device {name:?}; valid: {}",
-                    registry_keys().join(", ")
-                );
-                return ExitCode::FAILURE;
-            }
-        }
+    if let Some(name) = cli::flag_value(args, "--device")? {
+        let entry = lookup(name).ok_or_else(|| {
+            Usage(format!(
+                "--device: unknown device {name:?}; valid: {}",
+                registry_keys().join(", ")
+            ))
+        })?;
+        cfg.profile = entry.profile;
+        cfg.battery = entry.battery();
     }
-    let cores = std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1);
-    let jobs: usize = parse_flag(&args, "--jobs").unwrap_or(cores);
-
-    log_info!(
-        "fleet: {} BSS x {} clients, {:.0}% adoption, {} s horizon, \
-         scenario {}, policy {}, device {}, seed {}, jobs {}",
-        cfg.bss_count,
-        cfg.clients_per_bss,
-        cfg.adoption * 100.0,
-        cfg.duration_secs,
-        cfg.scenario.label(),
-        cfg.policy.name(),
-        cfg.profile.name,
-        cfg.seed,
-        jobs,
-    );
-    let trace_path = parse_flag::<String>(&args, "--trace");
-    let profile_stages = args.iter().any(|a| a == "--profile-stages");
-    if profile_stages && trace_path.is_some() {
-        log_error!("--profile-stages is incompatible with --trace");
-        return ExitCode::FAILURE;
-    }
-    let stream_smoke = args.iter().any(|a| a == "--stream-smoke");
-    if stream_smoke || args.iter().any(|a| a == "--stream-export") {
-        if profile_stages {
-            log_error!("--stream-export is incompatible with --profile-stages");
-            return ExitCode::FAILURE;
-        }
-        return run_streamed(&args, &cfg, jobs, trace_path.as_deref(), stream_smoke);
-    }
-    let t0 = Instant::now();
-    let result = if profile_stages {
-        let (result, profile) = match cfg.try_run_profiled_with_jobs(jobs) {
-            Ok(out) => out,
-            Err(e) => {
-                log_error!("{e}");
-                return ExitCode::FAILURE;
-            }
-        };
-        print!("{}", profile.render());
-        println!("{}", profile.to_json());
-        result
-    } else if let Some(path) = &trace_path {
-        let (result, flight) = match cfg.try_run_traced_with_jobs(jobs, DEFAULT_TRACE_CAPACITY) {
-            Ok(out) => out,
-            Err(e) => {
-                log_error!("{e}");
-                return ExitCode::FAILURE;
-            }
-        };
-        // JSONL for machine consumption, Chrome-trace JSON otherwise.
-        // Both contain only simulation-time data here (no wall-clock
-        // stage spans), so the bytes are independent of --jobs.
-        let rendered = if path.ends_with(".jsonl") {
-            export::to_jsonl(&flight)
-        } else {
-            export::to_chrome_trace(&flight, None)
-        };
-        if let Err(e) = std::fs::write(path, rendered) {
-            log_error!("writing {path}: {e}");
-            return ExitCode::FAILURE;
-        }
-        log_info!(
-            "trace written to {path} ({} events{})",
-            flight.len(),
-            if flight.dropped() > 0 {
-                format!(", {} dropped by the ring bound", flight.dropped())
-            } else {
-                String::new()
-            }
-        );
-        result
-    } else {
-        match cfg.try_run_with_jobs(jobs) {
-            Ok(r) => r,
-            Err(e) => {
-                log_error!("{e}");
-                return ExitCode::FAILURE;
-            }
-        }
-    };
-    let wall = t0.elapsed().as_secs_f64();
-    let energy_attr = args.iter().any(|a| a == "--energy-attribution");
-    report(&result, wall);
-    if energy_attr {
-        report_attribution(&result);
-    }
-
-    if let Some(path) = parse_flag::<String>(&args, "--metrics") {
-        let rendered = if energy_attr {
-            result.metrics_json_with_energy()
-        } else {
-            result.metrics_json()
-        };
-        if let Err(e) = std::fs::write(&path, rendered) {
-            log_error!("writing {path}: {e}");
-            return ExitCode::FAILURE;
-        }
-        log_info!("metrics written to {path}");
-    }
-    if let Some(path) = parse_flag::<String>(&args, "--attribution-out") {
-        let ledger = result.attribution();
-        let rendered = if path.ends_with(".csv") {
-            ledger.to_csv()
-        } else {
-            ledger.to_jsonl()
-        };
-        if let Err(e) = std::fs::write(&path, rendered) {
-            log_error!("writing {path}: {e}");
-            return ExitCode::FAILURE;
-        }
-        log_info!(
-            "attribution ledger written to {path} ({} client lanes)",
-            ledger.len()
-        );
-    }
-    if let Some(path) = parse_flag::<String>(&args, "--summary") {
-        if let Err(e) = std::fs::write(&path, result.summary_json()) {
-            log_error!("writing {path}: {e}");
-            return ExitCode::FAILURE;
-        }
-        log_info!("summary written to {path}");
-    }
-
-    if smoke {
-        return smoke_checks(&cfg, &result, jobs);
-    }
-    ExitCode::SUCCESS
+    Ok(cfg)
 }
 
 fn report(result: &FleetResult, wall: f64) {
@@ -384,13 +395,6 @@ fn report(result: &FleetResult, wall: f64) {
 }
 
 /// Human-readable per-cause joule split of the attribution ledger.
-fn report_attribution(result: &FleetResult) {
-    let ledger = result.attribution();
-    print_attribution_totals(ledger.len(), &ledger.totals());
-}
-
-/// Shared body of [`report_attribution`]: the streamed path calls it
-/// with the accumulated totals instead of a materialized ledger.
 fn print_attribution_totals(lanes: usize, t: &ClientEnergy) {
     let j = |nj: u64| nj as f64 / 1e9;
     println!(
@@ -417,79 +421,41 @@ fn print_attribution_totals(lanes: usize, t: &ClientEnergy) {
     );
 }
 
-/// The out-of-core export path (`--stream-export` / `--stream-smoke`).
+/// The streamed run: attribution rows stream to `attr_path` while the
+/// fleet runs, then the trace is rendered from the spilled runs into
+/// `trace_path` (or, under `--stream-smoke`, hashed into a null sink)
+/// and the spill file is removed. Returns the outcome and the run's
+/// wall time (export excluded).
 fn run_streamed(
-    args: &[String],
     cfg: &FleetConfig,
     jobs: usize,
+    spill_dir: PathBuf,
     trace_path: Option<&str>,
+    attr_path: Option<&str>,
     smoke: bool,
-) -> ExitCode {
-    let mut stream = StreamExportConfig::new(
-        parse_flag::<PathBuf>(args, "--spill-dir").unwrap_or_else(std::env::temp_dir),
-    );
-    if let Some(n) = parse_flag(args, "--spill-chunk") {
-        stream.chunk_events = n;
-    }
-    if let Some(n) = parse_flag(args, "--stream-window") {
-        stream.window = n;
-    }
-    if let Some(n) = parse_flag(args, "--trace-cap") {
-        stream.trace_capacity = n;
-    }
-
+) -> Result<(Outcome, f64), Fail> {
     // Attribution rows leave memory during the run, so the sink must
     // be open before it starts.
-    let attr_path = parse_flag::<String>(args, "--attribution-out");
-    let mut attr_file = match &attr_path {
-        Some(path) => match File::create(path) {
-            Ok(f) => Some(BufWriter::new(f)),
-            Err(e) => {
-                log_error!("creating {path}: {e}");
-                return ExitCode::FAILURE;
-            }
-        },
+    let mut attr_file = match attr_path {
+        Some(path) => Some(BufWriter::new(
+            File::create(path).map_err(|e| fail(format!("creating {path}: {e}")))?,
+        )),
         None => None,
     };
-    let attr_is_csv = attr_path.as_deref().is_some_and(|p| p.ends_with(".csv"));
-    let sinks = match (&mut attr_file, attr_is_csv) {
-        (Some(f), true) => StreamSinks {
-            attribution_csv: Some(f),
-            attribution_jsonl: None,
-        },
-        (Some(f), false) => StreamSinks {
-            attribution_csv: None,
-            attribution_jsonl: Some(f),
-        },
-        (None, _) => StreamSinks::default(),
-    };
+    let mut sinks = StreamSinks::default();
+    if let Some(f) = attr_file.as_mut() {
+        if attr_path.is_some_and(|p| p.ends_with(".csv")) {
+            sinks.attribution_csv = Some(f);
+        } else {
+            sinks.attribution_jsonl = Some(f);
+        }
+    }
 
     let t0 = Instant::now();
-    let streamed = match cfg.try_run_streamed_with_jobs(jobs, &stream, sinks) {
-        Ok(s) => s,
-        Err(e) => {
-            log_error!("{e}");
-            return ExitCode::FAILURE;
-        }
-    };
+    let streamed = cfg
+        .try_run_streamed_with_jobs(jobs, &StreamExportConfig::new(spill_dir), sinks)
+        .map_err(fail)?;
     let run_wall = t0.elapsed().as_secs_f64();
-    if let Some(f) = attr_file.as_mut() {
-        if let Err(e) = f.flush() {
-            log_error!("flushing attribution sink: {e}");
-            return ExitCode::FAILURE;
-        }
-    }
-    if let Some(path) = &attr_path {
-        log_info!(
-            "attribution ledger streamed to {path} ({} client lanes)",
-            streamed.energy_clients
-        );
-    }
-
-    report(&streamed.result, run_wall);
-    if args.iter().any(|a| a == "--energy-attribution") {
-        print_attribution_totals(streamed.energy_clients, &streamed.energy_totals);
-    }
     log_info!(
         "streamed: {} events in {} spilled runs ({} bytes), {} dropped by ring bounds",
         streamed.events(),
@@ -498,88 +464,76 @@ fn run_streamed(
         streamed.dropped(),
     );
 
-    // Merge the spilled runs into the trace export. The smoke gate
-    // always streams the JSONL render (to a null sink when no --trace
-    // path is given) so the full merge+render path is exercised and
-    // content-hashed even without an output file.
-    let export_start = Instant::now();
-    let mut exported_events: Option<u64> = None;
-    let export_result: Result<(), hide::fleet::FleetError> = match trace_path {
-        Some(path) => match File::create(path) {
-            Ok(f) => {
+    let mut export = || -> Result<(), Fail> {
+        if let Some(f) = attr_file.as_mut() {
+            f.flush()
+                .map_err(|e| fail(format!("flushing attribution sink: {e}")))?;
+        }
+        if let Some(path) = attr_path {
+            log_info!(
+                "attribution ledger streamed to {path} ({} client lanes)",
+                streamed.energy_clients
+            );
+        }
+        // Merge the spilled runs into the trace export. The smoke gate
+        // always streams the JSONL render (to a null sink when no
+        // --trace path is given) so the full merge+render path is
+        // exercised and content-hashed even without an output file.
+        let export_start = Instant::now();
+        let exported = match trace_path {
+            Some(path) => {
+                let f = File::create(path).map_err(|e| fail(format!("creating {path}: {e}")))?;
                 let mut out = HashingWriter::new(BufWriter::new(f));
-                let written = if path.ends_with(".jsonl") {
+                let n = if path.ends_with(".jsonl") {
                     streamed.write_trace_jsonl(&mut out)
                 } else {
                     streamed.write_chrome_trace(None, &mut out)
-                };
-                written
-                    .and_then(|n| {
-                        out.flush()
-                            .map_err(|e| hide::fleet::FleetError::Export(e.to_string()))?;
-                        Ok(n)
-                    })
-                    .map(|n| {
-                        exported_events = Some(n);
-                        log_info!(
-                            "trace streamed to {path} ({n} events, {} bytes, fnv1a64 {:016x})",
-                            out.bytes(),
-                            out.hash()
-                        );
-                    })
+                }
+                .map_err(fail)?;
+                out.flush()
+                    .map_err(|e| fail(format!("writing {path}: {e}")))?;
+                log_info!(
+                    "trace streamed to {path} ({n} events, {} bytes, fnv1a64 {:016x})",
+                    out.bytes(),
+                    out.hash()
+                );
+                Some(n)
             }
-            Err(e) => Err(hide::fleet::FleetError::Export(e.to_string())),
-        },
-        None if smoke => {
-            let mut out = HashingWriter::new(std::io::sink());
-            streamed.write_trace_jsonl(&mut out).map(|n| {
-                exported_events = Some(n);
+            None if smoke => {
+                let mut out = HashingWriter::new(std::io::sink());
+                let n = streamed.write_trace_jsonl(&mut out).map_err(fail)?;
                 log_info!(
                     "trace jsonl hashed ({n} events, {} bytes, fnv1a64 {:016x})",
                     out.bytes(),
                     out.hash()
                 );
-            })
-        }
-        None => Ok(()),
-    };
-    if let Err(e) = export_result {
-        log_error!("{e}");
-        let _ = streamed.cleanup();
-        return ExitCode::FAILURE;
-    }
-    let export_wall = export_start.elapsed().as_secs_f64();
-
-    if let Some(path) = parse_flag::<String>(args, "--metrics") {
-        let rendered = if args.iter().any(|a| a == "--energy-attribution") {
-            streamed.metrics_json_with_energy()
-        } else {
-            streamed.result.metrics_json()
+                Some(n)
+            }
+            None => None,
         };
-        if let Err(e) = std::fs::write(&path, rendered) {
-            log_error!("writing {path}: {e}");
-            return ExitCode::FAILURE;
+        if smoke {
+            let wall = run_wall + export_start.elapsed().as_secs_f64();
+            stream_smoke_checks(
+                streamed.result.report.events,
+                streamed.events(),
+                exported,
+                wall,
+            )?;
         }
-        log_info!("metrics written to {path}");
-    }
-    if let Some(path) = parse_flag::<String>(args, "--summary") {
-        if let Err(e) = std::fs::write(&path, streamed.result.summary_json()) {
-            log_error!("writing {path}: {e}");
-            return ExitCode::FAILURE;
-        }
-        log_info!("summary written to {path}");
-    }
-
-    let code = if smoke {
-        stream_smoke_checks(&streamed, exported_events, run_wall + export_wall)
-    } else {
-        ExitCode::SUCCESS
+        Ok(())
     };
-    if let Err(e) = streamed.cleanup() {
-        log_error!("removing spill file: {e}");
-        return ExitCode::FAILURE;
-    }
-    code
+    let export_result = export();
+    streamed
+        .cleanup()
+        .map_err(|e| fail(format!("removing spill file: {e}")))?;
+    export_result?;
+    let outcome = Outcome {
+        lanes: streamed.energy_clients,
+        totals: streamed.energy_totals,
+        metrics_with_energy: streamed.metrics_json_with_energy(),
+        result: streamed.result,
+    };
+    Ok((outcome, run_wall))
 }
 
 /// Peak resident set of this process (`VmHWM`), in MiB. `None` when
@@ -597,51 +551,47 @@ fn peak_rss_mb() -> Option<f64> {
     Some(kb / 1024.0)
 }
 
-/// Metro-scale CI gate: bounded peak RSS and a streamed-throughput
-/// floor, thresholds from `golden/perf_floors.toml`.
+/// Metro-scale CI gate: every spilled event exported, bounded peak
+/// RSS and a streamed-throughput floor, thresholds from
+/// `golden/perf_floors.toml`.
 fn stream_smoke_checks(
-    streamed: &StreamedFleetResult,
-    exported_events: Option<u64>,
+    kernel_events: u64,
+    spilled: u64,
+    exported: Option<u64>,
     wall: f64,
-) -> ExitCode {
-    if let Some(n) = exported_events {
-        if n != streamed.events() {
-            log_error!(
-                "STREAM SMOKE FAIL: exported {n} events but spilled {}",
-                streamed.events()
-            );
-            return ExitCode::FAILURE;
-        }
+) -> Result<(), Fail> {
+    if let Some(n) = exported.filter(|&n| n != spilled) {
+        return Err(fail(format!(
+            "STREAM SMOKE FAIL: exported {n} events but spilled {spilled}"
+        )));
     }
-    let events_per_sec = streamed.result.report.events as f64 / wall.max(1e-9);
+    let events_per_sec = kernel_events as f64 / wall.max(1e-9);
     let floor = perf_floor("streamed_events_per_sec_floor");
     log_info!(
         "stream smoke: {:.0} kernel events/sec through run+export (floor {floor:.0})",
         events_per_sec
     );
     if events_per_sec < floor {
-        log_error!(
+        return Err(fail(format!(
             "STREAM SMOKE FAIL: {events_per_sec:.0} events/sec below the \
              {floor:.0} floor (golden/perf_floors.toml)"
-        );
-        return ExitCode::FAILURE;
+        )));
     }
     match peak_rss_mb() {
         Some(rss) => {
             let ceiling = perf_floor("stream_peak_rss_mb_ceiling");
             log_info!("stream smoke: peak RSS {rss:.0} MiB (ceiling {ceiling:.0})");
             if rss > ceiling {
-                log_error!(
+                return Err(fail(format!(
                     "STREAM SMOKE FAIL: peak RSS {rss:.0} MiB exceeds the \
                      {ceiling:.0} MiB ceiling (golden/perf_floors.toml)"
-                );
-                return ExitCode::FAILURE;
+                )));
             }
         }
         None => log_info!("stream smoke: /proc unavailable, skipping the RSS ceiling"),
     }
     log_info!("stream smoke: ok (bounded memory, throughput above floor)");
-    ExitCode::SUCCESS
+    Ok(())
 }
 
 /// Read one `key = value` number out of the checked-in perf-floor
@@ -666,62 +616,53 @@ fn perf_floor(key: &str) -> f64 {
 
 /// CI invariants: determinism across jobs counts and the loss-free
 /// missed-wakeup guarantee.
-fn smoke_checks(cfg: &FleetConfig, result: &FleetResult, jobs: usize) -> ExitCode {
+fn smoke_checks(cfg: &FleetConfig, outcome: &Outcome, jobs: usize) -> Result<(), Fail> {
     log_info!("smoke: re-running at jobs=1 for the determinism check...");
-    let serial = match cfg.try_run_with_jobs(1) {
-        Ok(r) => r,
-        Err(e) => {
-            log_error!("smoke rerun failed: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
+    let serial = cfg
+        .try_run_with_jobs(1)
+        .map_err(|e| fail(format!("smoke rerun failed: {e}")))?;
+    let result = &outcome.result;
+    // The energy section, not the per-client CSV: a streamed run's
+    // ledger is empty by design.
     if serial.metrics_json() != result.metrics_json()
         || serial.summary_json() != result.summary_json()
-        || serial.metrics_json_with_energy() != result.metrics_json_with_energy()
-        || serial.attribution().to_csv() != result.attribution().to_csv()
+        || serial.metrics_json_with_energy() != outcome.metrics_with_energy
     {
-        log_error!("SMOKE FAIL: jobs=1 and jobs={jobs} outputs differ");
-        return ExitCode::FAILURE;
+        return Err(fail(format!(
+            "SMOKE FAIL: jobs=1 and jobs={jobs} outputs differ"
+        )));
     }
     let mut lossless = cfg.clone();
     lossless.churn.refresh_loss = 0.0;
     log_info!("smoke: loss-free control run...");
-    let control = match lossless.try_run_with_jobs(jobs) {
-        Ok(r) => r,
-        Err(e) => {
-            log_error!("smoke control failed: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
+    let control = lossless
+        .try_run_with_jobs(jobs)
+        .map_err(|e| fail(format!("smoke control failed: {e}")))?;
     if control.report.missed_wakeups != 0 {
-        log_error!(
+        return Err(fail(format!(
             "SMOKE FAIL: {} missed wakeups with zero refresh loss",
             control.report.missed_wakeups
-        );
-        return ExitCode::FAILURE;
+        )));
     }
     // Policy seam invariants: non-HIDE policies must run none of the
     // HIDE machinery, and a scheduled policy wakes only in-window.
     if !cfg.policy.uses_port_refresh()
         && (result.report.refreshes_sent != 0 || result.report.hide_wakeups != 0)
     {
-        log_error!(
+        return Err(fail(format!(
             "SMOKE FAIL: policy {} ran HIDE machinery \
              ({} refreshes, {} hide wakeups)",
             cfg.policy.name(),
             result.report.refreshes_sent,
             result.report.hide_wakeups
-        );
-        return ExitCode::FAILURE;
+        )));
     }
     if cfg.policy.schedule().is_some() && result.report.wakeups != result.report.scheduled_wakes {
-        log_error!(
+        return Err(fail(format!(
             "SMOKE FAIL: {} wakeups but only {} inside the service window",
-            result.report.wakeups,
-            result.report.scheduled_wakes
-        );
-        return ExitCode::FAILURE;
+            result.report.wakeups, result.report.scheduled_wakes
+        )));
     }
     log_info!("smoke: ok (deterministic across jobs, loss-free run missed 0 wakeups)");
-    ExitCode::SUCCESS
+    Ok(())
 }

@@ -6,7 +6,6 @@
 //!           [--csv <dir>] [--jobs N] [--metrics <file.json>] [--trace <file>]
 //!           [--policy NAME] [--device NAME]
 //!           [--energy-attribution] [--attribution-out <file>]
-//!           [--stream-export]
 //! ```
 //!
 //! With no argument (or `all`) every experiment runs in paper order.
@@ -45,16 +44,13 @@
 //! columns). `--attribution-out <file>` exports the per-client rows as
 //! CSV (`.csv`) or JSON Lines.
 //!
-//! `--stream-export` routes the `--trace` export through the
-//! out-of-core spill pipeline instead of rendering in memory: the
-//! flight-recorded events spill to a temp file in the framed
-//! `hide-spill/1` codec, then a k-way merge streams them into the
-//! JSONL/Chrome-trace writer. The output is byte-identical to the
-//! in-memory render — this knob exists to exercise the same code path
-//! the metro-scale fleet driver depends on, at reference-run scale.
+//! Parsing is strict: an unknown flag, a flag without its value, an
+//! unparsable `--jobs` count or a second experiment name is a usage
+//! error naming the argument, with exit status 2.
 
 use hide::HideError;
 use hide_bench as harness;
+use hide_bench::cli::{self, flag_value, parse_flag, Flags};
 use hide_energy::profile::{GALAXY_S4, NEXUS_ONE};
 use hide_obs::{export, FlightRecorder, Recorder, Stage};
 use hide_sim::protocol_sim::ProtocolSimulation;
@@ -64,8 +60,8 @@ fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     match run(&args) {
         Ok(()) => {}
-        Err(Exit::Usage(msg)) => {
-            eprintln!("{msg}");
+        Err(Exit::Usage(cli::Usage(msg))) => {
+            eprintln!("reproduce: {msg}");
             std::process::exit(2);
         }
         Err(Exit::Failure(e)) => {
@@ -78,8 +74,25 @@ fn main() {
 /// How a run can end unsuccessfully: bad invocation (exit 2) or a
 /// layer failure (exit 1).
 enum Exit {
-    Usage(String),
+    Usage(cli::Usage),
     Failure(HideError),
+}
+
+const FLAGS: Flags = Flags {
+    valued: &[
+        "--csv",
+        "--jobs",
+        "--metrics",
+        "--trace",
+        "--attribution-out",
+        "--policy",
+        "--device",
+    ],
+    switches: &["--energy-attribution"],
+};
+
+fn usage(msg: impl Into<String>) -> Exit {
+    Exit::Usage(cli::Usage(msg.into()))
 }
 
 impl<E: Into<HideError>> From<E> for Exit {
@@ -89,51 +102,25 @@ impl<E: Into<HideError>> From<E> for Exit {
 }
 
 fn run(args: &[String]) -> Result<(), Exit> {
-    let csv_dir = flag_value(args, "--csv")?.map(std::path::PathBuf::from);
-    let metrics_path = flag_value(args, "--metrics")?.map(std::path::PathBuf::from);
-    let trace_path = flag_value(args, "--trace")?.map(std::path::PathBuf::from);
-    let attribution_path = flag_value(args, "--attribution-out")?.map(std::path::PathBuf::from);
-    let policy_filter = flag_value(args, "--policy")?.map(str::to_string);
-    let device_filter = flag_value(args, "--device")?.map(str::to_string);
-    let energy_attr = args.iter().any(|a| a == "--energy-attribution");
+    let positionals = FLAGS.positionals(args).map_err(Exit::Usage)?;
+    if let Some(extra) = positionals.get(1) {
+        return Err(usage(format!("unexpected argument {extra:?}")));
+    }
+    let value = |flag| flag_value(args, flag).map_err(Exit::Usage);
+    let csv_dir = value("--csv")?.map(std::path::PathBuf::from);
+    let metrics_path = value("--metrics")?.map(std::path::PathBuf::from);
+    let trace_path = value("--trace")?.map(std::path::PathBuf::from);
+    let attribution_path = value("--attribution-out")?.map(std::path::PathBuf::from);
+    let policy_filter = value("--policy")?.map(str::to_string);
+    let device_filter = value("--device")?.map(str::to_string);
+    let energy_attr = cli::has(args, "--energy-attribution");
     if attribution_path.is_some() && !energy_attr {
-        return Err(Exit::Usage(
-            "--attribution-out requires --energy-attribution".to_string(),
-        ));
+        return Err(usage("--attribution-out requires --energy-attribution"));
     }
-    if let Some(i) = args.iter().position(|a| a == "--jobs") {
-        match args.get(i + 1).map(|v| v.parse::<usize>()) {
-            Some(Ok(jobs)) => hide_par::set_default_jobs(jobs),
-            got => {
-                let got = got.map_or("nothing", |_| args[i + 1].as_str());
-                return Err(Exit::Usage(format!(
-                    "--jobs expects a thread count (0 = all cores), got {got:?}"
-                )));
-            }
-        }
+    if let Some(jobs) = parse_flag::<usize>(args, "--jobs").map_err(Exit::Usage)? {
+        hide_par::set_default_jobs(jobs);
     }
-    // Flag values must not be mistaken for the experiment name.
-    let flag_values: Vec<usize> = args
-        .iter()
-        .enumerate()
-        .filter(|(_, a)| {
-            *a == "--csv"
-                || *a == "--jobs"
-                || *a == "--metrics"
-                || *a == "--trace"
-                || *a == "--attribution-out"
-                || *a == "--policy"
-                || *a == "--device"
-        })
-        .map(|(i, _)| i + 1)
-        .collect();
-    let arg = args
-        .iter()
-        .enumerate()
-        .find(|(i, a)| !a.starts_with("--") && !flag_values.contains(i))
-        .map(|(_, a)| a.clone())
-        .unwrap_or_else(|| "all".to_string());
-    let what = arg.as_str();
+    let what = positionals.first().copied().unwrap_or("all");
     let all = what == "all";
     let mut recorder = Recorder::new();
 
@@ -260,12 +247,12 @@ fn run(args: &[String]) -> Result<(), Exit> {
     }
 
     if !ran {
-        return Err(Exit::Usage(format!(
+        return Err(usage(format!(
             "unknown experiment '{what}'; expected one of: all table1 table2 \
              fig6 fig7 fig8 fig9 fig10 fig11 fig12 host-costs ext policy \
              [--csv <dir>] [--jobs N] [--metrics <file.json>] [--trace <file>] \
              [--policy NAME] [--device NAME] \
-             [--energy-attribution] [--attribution-out <file>] [--stream-export]"
+             [--energy-attribution] [--attribution-out <file>]"
         )));
     }
 
@@ -278,18 +265,17 @@ fn run(args: &[String]) -> Result<(), Exit> {
         ProtocolSimulation::new(&traces[0], NEXUS_ONE, 0.10)
             .run_traced(&mut hide_obs::NoopSink, &mut flight)?;
         if let Some(path) = &trace_path {
-            let events = flight.len();
-            if args.iter().any(|a| a == "--stream-export") {
-                stream_trace_export(&flight, &recorder, path)?;
+            let rendered = if path.extension().is_some_and(|e| e == "jsonl") {
+                export::to_jsonl(&flight)
             } else {
-                let rendered = if path.extension().is_some_and(|e| e == "jsonl") {
-                    export::to_jsonl(&flight)
-                } else {
-                    export::to_chrome_trace(&flight, Some(&recorder))
-                };
-                std::fs::write(path, rendered).map_err(HideError::from)?;
-            }
-            println!("\ntrace written to {} ({events} events)", path.display());
+                export::to_chrome_trace(&flight, Some(&recorder))
+            };
+            std::fs::write(path, rendered).map_err(HideError::from)?;
+            println!(
+                "\ntrace written to {} ({} events)",
+                path.display(),
+                flight.len()
+            );
         }
         if energy_attr {
             // Trace join: per-client wake counts priced under the
@@ -312,9 +298,7 @@ fn run(args: &[String]) -> Result<(), Exit> {
 
     if let Some(path) = &attribution_path {
         let Some(ledger) = &attribution else {
-            return Err(Exit::Usage(
-                "--attribution-out requires --energy-attribution".to_string(),
-            ));
+            return Err(usage("--attribution-out requires --energy-attribution"));
         };
         let rendered = if path.extension().is_some_and(|e| e == "csv") {
             ledger.to_csv()
@@ -339,52 +323,4 @@ fn run(args: &[String]) -> Result<(), Exit> {
         println!("metrics json written to {}", path.display());
     }
     Ok(())
-}
-
-/// `--stream-export` body: spill the flight-recorded events to a temp
-/// file in the `hide-spill/1` codec, then k-way-merge them back into a
-/// streaming JSONL / Chrome-trace render. Byte-identical to the
-/// in-memory export; the spill file is removed on success and on error.
-fn stream_trace_export(
-    flight: &FlightRecorder,
-    recorder: &Recorder,
-    path: &std::path::Path,
-) -> Result<(), Exit> {
-    use std::io::Write as _;
-    let to_io = |e: hide_obs::SpillError| std::io::Error::other(e.to_string());
-    let spill_path =
-        std::env::temp_dir().join(format!("hide-reproduce-spill-{}.bin", std::process::id()));
-    let run = || -> Result<(), std::io::Error> {
-        let mut writer = hide_obs::SpillWriter::create(&spill_path, 4096).map_err(to_io)?;
-        // Copy (not drain) so the later provenance join still sees the
-        // recorder's events.
-        let events: Vec<_> = flight.events().cloned().collect();
-        writer.write_run(&events, flight.dropped()).map_err(to_io)?;
-        drop(events);
-        let index = writer.finish().map_err(to_io)?;
-        let mut merge = index.merge().map_err(to_io)?;
-        let mut out = std::io::BufWriter::new(std::fs::File::create(path)?);
-        if path.extension().is_some_and(|e| e == "jsonl") {
-            export::stream_jsonl(&mut merge, &mut out).map_err(to_io)?;
-        } else {
-            export::stream_chrome_trace(&mut merge, Some(recorder), &mut out).map_err(to_io)?;
-        }
-        out.flush()
-    };
-    let result = run();
-    let _ = std::fs::remove_file(&spill_path);
-    result.map_err(HideError::from)?;
-    Ok(())
-}
-
-/// The value following `flag`: `Ok(None)` if the flag is absent, a
-/// usage error if the flag is present without a value.
-fn flag_value<'a>(args: &'a [String], flag: &str) -> Result<Option<&'a str>, Exit> {
-    match args.iter().position(|a| a == flag) {
-        None => Ok(None),
-        Some(i) => match args.get(i + 1).map(String::as_str) {
-            Some(v) if !v.starts_with("--") => Ok(Some(v)),
-            _ => Err(Exit::Usage(format!("{flag} expects a value"))),
-        },
-    }
 }

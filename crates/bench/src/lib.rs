@@ -2,7 +2,8 @@
 //! settings and renderers for every table and figure of the paper.
 //!
 //! The `reproduce` binary drives these; the Criterion benches in
-//! `benches/` time the underlying computations.
+//! `benches/` time the underlying computations. [`cli`] is the strict
+//! flag parser `reproduce` and `fleet_sim` share.
 //!
 //! Every trace-driven renderer has a `*_with` twin taking a
 //! [`hide_obs::Recorder`] and returning `Result<_, HideError>`: it
@@ -14,6 +15,8 @@
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
+
+pub mod cli;
 
 use hide::HideError;
 use hide_analysis::capacity::{CapacityAnalysis, NetworkConfig};
@@ -329,7 +332,7 @@ pub fn policy_matrix_with(
                     ..ChurnConfig::default()
                 },
             };
-            let result = cfg.try_run()?;
+            let result = cfg.try_run_with_jobs(hide_par::default_jobs())?;
             recorder.merge_from(&result.recorder);
             let r = &result.report;
             let lt = &result.lifetime;

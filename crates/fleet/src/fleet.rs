@@ -8,17 +8,17 @@
 //! sums — and the JSON they serialize to — are byte-identical at any
 //! `--jobs` count.
 
-use crate::bss::{run_bss, run_bss_profiled, run_bss_traced, BssReport};
+use crate::bss::{run_bss, BssReport};
 use crate::churn::ChurnConfig;
 use crate::error::FleetError;
-use crate::profile::{FleetStage, StageProfile, StageProfiler};
+use crate::profile::{FleetStage, NoopProfiler, StageProfile, StageProfiler};
 use hide_energy::attribution::{
     metrics_section_for, write_csv_row, write_jsonl_row, ClientEnergy, ATTRIBUTION_CSV_HEADER,
 };
 use hide_energy::battery::Battery;
 use hide_energy::profile::{DeviceProfile, NEXUS_ONE};
 use hide_obs::spill::{SpillIndex, SpillWriter};
-use hide_obs::{FlightRecorder, Recorder, Stage};
+use hide_obs::{FlightRecorder, NoopTrace, Recorder, Stage};
 use hide_policy::{LifetimeProjection, WakePolicy};
 use hide_traces::scenario::Scenario;
 use std::io;
@@ -96,16 +96,6 @@ impl FleetConfig {
         self.churn.validate()
     }
 
-    /// Runs the fleet with the process-default jobs count.
-    ///
-    /// # Errors
-    ///
-    /// Returns a validation error before any work starts, or the first
-    /// shard's protocol failure.
-    pub fn try_run(&self) -> Result<FleetResult, FleetError> {
-        self.try_run_with_jobs(hide_par::default_jobs())
-    }
-
     /// Runs the fleet on exactly `jobs` worker threads (`0` or `1`
     /// runs inline). The result is byte-identical for every `jobs`
     /// value.
@@ -115,19 +105,12 @@ impl FleetConfig {
     /// Returns a validation error before any work starts, or the first
     /// (lowest-index) shard's protocol failure.
     pub fn try_run_with_jobs(&self, jobs: usize) -> Result<FleetResult, FleetError> {
-        self.validate()?;
-        let indices: Vec<usize> = (0..self.bss_count).collect();
-        let shards = hide_par::par_map_jobs(jobs, &indices, |_, &i| run_bss(self, i));
-
-        let merge_start = Instant::now();
-        let mut report = BssReport::default();
-        let mut recorder = Recorder::new();
-        for shard in shards {
-            let (bss, rec) = shard?;
-            report.merge_from(&bss);
-            recorder.merge_from(&rec);
-        }
-        recorder.add_span(Stage::FleetMerge, merge_start.elapsed().as_nanos() as u64);
+        let (report, recorder, NoopProfiler) = self.drive(
+            jobs,
+            self.bss_count,
+            |i, prof| run_bss(self, i, &mut NoopTrace, prof).map(|(bss, rec)| (bss, rec, ())),
+            |_| Ok(()),
+        )?;
         Ok(FleetResult::assemble(self, report, recorder))
     }
 
@@ -138,7 +121,7 @@ impl FleetConfig {
     /// returned [`FleetResult`] is byte-identical to the unprofiled
     /// run's — but the run itself is a little slower (two timer reads
     /// per kernel event), so the default paths stay on
-    /// [`NoopProfiler`](crate::NoopProfiler).
+    /// [`NoopProfiler`].
     ///
     /// # Errors
     ///
@@ -148,27 +131,14 @@ impl FleetConfig {
         &self,
         jobs: usize,
     ) -> Result<(FleetResult, StageProfile), FleetError> {
-        self.validate()?;
-        let indices: Vec<usize> = (0..self.bss_count).collect();
-        let shards = hide_par::par_map_jobs(jobs, &indices, |_, &i| {
-            let mut prof = StageProfile::new();
-            run_bss_profiled(self, i, &mut hide_obs::NoopTrace, &mut prof)
-                .map(|(bss, rec)| (bss, rec, prof))
-        });
-
-        let merge_start = Instant::now();
-        let mut report = BssReport::default();
-        let mut recorder = Recorder::new();
-        let mut profile = StageProfile::new();
-        for shard in shards {
-            let (bss, rec, shard_prof) = shard?;
-            report.merge_from(&bss);
-            recorder.merge_from(&rec);
-            profile.merge_from(&shard_prof);
-        }
-        let merge_nanos = merge_start.elapsed().as_nanos() as u64;
-        recorder.add_span(Stage::FleetMerge, merge_nanos);
-        profile.add(FleetStage::Merge, merge_nanos);
+        let (report, recorder, profile) = self.drive(
+            jobs,
+            self.bss_count,
+            |i, prof: &mut StageProfile| {
+                run_bss(self, i, &mut NoopTrace, prof).map(|(bss, rec)| (bss, rec, ()))
+            },
+            |_| Ok(()),
+        )?;
         Ok((FleetResult::assemble(self, report, recorder), profile))
     }
 
@@ -179,7 +149,9 @@ impl FleetConfig {
     /// are folded in input order with an ordered merge — so the
     /// returned log, and anything exported from it, is byte-identical
     /// at any `jobs` count. The [`FleetResult`] itself is identical to
-    /// the untraced run's.
+    /// the untraced run's. This is the in-memory reference the
+    /// streamed pipeline is checked against; the CLIs export through
+    /// [`try_run_streamed_with_jobs`](Self::try_run_streamed_with_jobs).
     ///
     /// # Errors
     ///
@@ -190,44 +162,19 @@ impl FleetConfig {
         jobs: usize,
         capacity: usize,
     ) -> Result<(FleetResult, FlightRecorder), FleetError> {
-        self.validate()?;
-        let indices: Vec<usize> = (0..self.bss_count).collect();
-        let shards = hide_par::par_map_jobs(jobs, &indices, |_, &i| {
-            let mut flight = FlightRecorder::with_capacity(capacity);
-            flight.set_source(i as u32);
-            run_bss_traced(self, i, &mut flight).map(|(bss, rec)| (bss, rec, flight))
-        });
-
-        let merge_start = Instant::now();
-        let mut report = BssReport::default();
-        let mut recorder = Recorder::new();
-        let mut logs = Vec::with_capacity(self.bss_count);
-        for shard in shards {
-            let (bss, rec, shard_flight) = shard?;
-            report.merge_from(&bss);
-            recorder.merge_from(&rec);
-            logs.push(shard_flight);
-        }
-        // Tree-fold the per-shard logs. `merge_from` is an ordered
-        // merge under the total (time, source, seq) order, so the fold
-        // shape cannot change the merged sequence — but pairing
-        // neighbors costs O(n log shards) where the sequential fold is
-        // quadratic in the shard count.
-        while logs.len() > 1 {
-            let mut next = Vec::with_capacity(logs.len().div_ceil(2));
-            let mut halves = logs.into_iter();
-            while let Some(mut left) = halves.next() {
-                if let Some(right) = halves.next() {
-                    left.merge_from(&right);
-                }
-                next.push(left);
-            }
-            logs = next;
-        }
-        let flight = logs
-            .pop()
-            .unwrap_or_else(|| FlightRecorder::with_capacity(capacity));
-        recorder.add_span(Stage::FleetMerge, merge_start.elapsed().as_nanos() as u64);
+        let mut flight = FlightRecorder::with_capacity(capacity);
+        let (report, recorder, NoopProfiler) = self.drive(
+            jobs,
+            self.bss_count,
+            |i, prof| {
+                let mut log = shard_log(i, capacity);
+                run_bss(self, i, &mut log, prof).map(|(bss, rec)| (bss, rec, log))
+            },
+            |logs| {
+                flight = tree_fold(logs, capacity);
+                Ok(())
+            },
+        )?;
         Ok((FleetResult::assemble(self, report, recorder), flight))
     }
 
@@ -282,100 +229,166 @@ impl FleetConfig {
         let window = if stream.window == 0 {
             (4 * jobs.max(1)).max(64)
         } else {
-            stream.window.max(1)
+            stream.window
         };
         let capacity = stream.trace_capacity.max(1);
         let mut writer = SpillWriter::create(spill_path, stream.chunk_events)?;
-
-        let mut report = BssReport::default();
-        let mut recorder = Recorder::new();
         let mut totals = ClientEnergy::default();
         let mut clients = 0usize;
         let mut lane = String::with_capacity(4096);
-        let mut merge_nanos = 0u64;
 
         if let Some(csv) = sinks.attribution_csv.as_deref_mut() {
             csv.write_all(ATTRIBUTION_CSV_HEADER.as_bytes())
                 .map_err(export_err)?;
         }
+        let (report, recorder, NoopProfiler) = self.drive(
+            jobs,
+            window,
+            |i, prof| {
+                let mut log = shard_log(i, capacity);
+                let (mut bss, rec) = run_bss(self, i, &mut log, prof)?;
+                // The shard's rows leave memory through the sinks
+                // instead of merging into a fleet-wide ledger.
+                let attribution = std::mem::take(&mut bss.attribution);
+                Ok((bss, rec, (log, attribution)))
+            },
+            |shards| {
+                let mut logs = Vec::with_capacity(shards.len());
+                for (log, attribution) in shards {
+                    // Row keys are `(bss_index, aid)`, disjoint and
+                    // ascending across shards, so appending per shard
+                    // yields the exact rows (and bytes) the merged
+                    // ledger would export.
+                    lane.clear();
+                    for (key, e) in attribution.rows() {
+                        if sinks.attribution_csv.is_some() {
+                            write_csv_row(&mut lane, *key, e);
+                        }
+                        totals.merge_from(e);
+                        clients += 1;
+                    }
+                    if let Some(csv) = sinks.attribution_csv.as_deref_mut() {
+                        csv.write_all(lane.as_bytes()).map_err(export_err)?;
+                    }
+                    if let Some(jsonl) = sinks.attribution_jsonl.as_deref_mut() {
+                        lane.clear();
+                        for (key, e) in attribution.rows() {
+                            write_jsonl_row(&mut lane, *key, e);
+                        }
+                        jsonl.write_all(lane.as_bytes()).map_err(export_err)?;
+                    }
+                    logs.push(log);
+                }
+                // The fold never drops, so the run carries exactly the
+                // window's events plus its shards' ring-bound drops.
+                let (events, dropped) = tree_fold(logs, capacity).take_spill_chunk();
+                writer.write_run(&events, dropped)?;
+                Ok(())
+            },
+        )?;
+        Ok(StreamedFleetResult {
+            result: FleetResult::assemble(self, report, recorder),
+            spill: writer.finish()?,
+            energy_totals: totals,
+            energy_clients: clients,
+        })
+    }
 
+    /// The one shard driver every run goes through: validates the
+    /// config, runs `shard` over `window` consecutive BSS indices at a
+    /// time on `jobs` workers, and fans each window in by index —
+    /// reports and recorders merged in input order, per-shard profiles
+    /// folded, and the window's extra outputs handed to `fan_in` in
+    /// index order. The fan-in time (including `fan_in`) across every
+    /// window is recorded as exactly one [`Stage::FleetMerge`] span,
+    /// plus one [`FleetStage::Merge`] when profiling is on — the
+    /// artifact serializes stage *call counts*, so every path must
+    /// record the same single merge stage.
+    fn drive<P: ShardProfiler, X: Send>(
+        &self,
+        jobs: usize,
+        window: usize,
+        shard: impl Fn(usize, &mut P) -> Result<(BssReport, Recorder, X), FleetError> + Sync,
+        mut fan_in: impl FnMut(Vec<X>) -> Result<(), FleetError>,
+    ) -> Result<(BssReport, Recorder, P), FleetError> {
+        self.validate()?;
+        let window = window.max(1);
+        let mut report = BssReport::default();
+        let mut recorder = Recorder::new();
+        let mut profile = P::default();
+        let mut merge_nanos = 0u64;
         let mut start = 0usize;
         while start < self.bss_count {
             let end = (start + window).min(self.bss_count);
             let indices: Vec<usize> = (start..end).collect();
             let shards = hide_par::par_map_jobs(jobs, &indices, |_, &i| {
-                let mut flight = FlightRecorder::with_capacity(capacity);
-                flight.set_source(i as u32);
-                run_bss_traced(self, i, &mut flight).map(|(bss, rec)| (bss, rec, flight))
+                let mut prof = P::default();
+                shard(i, &mut prof).map(|(bss, rec, extra)| (bss, rec, extra, prof))
             });
 
             let merge_start = Instant::now();
-            let mut logs = Vec::with_capacity(indices.len());
-            for shard in shards {
-                let (mut bss, rec, shard_flight) = shard?;
-                // Stream the shard's attribution rows out instead of
-                // accumulating the fleet-wide ledger: row keys are
-                // `(bss_index, aid)`, disjoint and ascending across
-                // shards, so appending per shard yields the exact rows
-                // (and bytes) the merged ledger would export.
-                let attribution = std::mem::take(&mut bss.attribution);
-                lane.clear();
-                for (key, e) in attribution.rows() {
-                    if sinks.attribution_csv.is_some() {
-                        write_csv_row(&mut lane, *key, e);
-                    }
-                    totals.merge_from(e);
-                    clients += 1;
-                }
-                if let Some(csv) = sinks.attribution_csv.as_deref_mut() {
-                    csv.write_all(lane.as_bytes()).map_err(export_err)?;
-                }
-                if let Some(jsonl) = sinks.attribution_jsonl.as_deref_mut() {
-                    lane.clear();
-                    for (key, e) in attribution.rows() {
-                        write_jsonl_row(&mut lane, *key, e);
-                    }
-                    jsonl.write_all(lane.as_bytes()).map_err(export_err)?;
-                }
+            let mut extras = Vec::with_capacity(indices.len());
+            for out in shards {
+                let (bss, rec, extra, prof) = out?;
                 report.merge_from(&bss);
                 recorder.merge_from(&rec);
-                logs.push(shard_flight);
+                profile.fold(&prof);
+                extras.push(extra);
             }
-            // Tree-fold the window's logs (same fold as the in-memory
-            // path) and append the window as one sorted run. The fold
-            // never drops, so the run carries exactly the window's
-            // events plus the sum of its shards' ring-bound drops.
-            while logs.len() > 1 {
-                let mut next = Vec::with_capacity(logs.len().div_ceil(2));
-                let mut halves = logs.into_iter();
-                while let Some(mut left) = halves.next() {
-                    if let Some(right) = halves.next() {
-                        left.merge_from(&right);
-                    }
-                    next.push(left);
-                }
-                logs = next;
-            }
-            let mut folded = logs
-                .pop()
-                .unwrap_or_else(|| FlightRecorder::with_capacity(capacity));
-            let (events, dropped) = folded.take_spill_chunk();
-            writer.write_run(&events, dropped)?;
+            fan_in(extras)?;
             merge_nanos += merge_start.elapsed().as_nanos() as u64;
             start = end;
         }
-        let spill = writer.finish()?;
-        // One FleetMerge span, exactly like the in-memory paths — the
-        // artifact serializes stage *call counts*, so the streamed
-        // metrics JSON must record the same single merge stage.
         recorder.add_span(Stage::FleetMerge, merge_nanos);
-        Ok(StreamedFleetResult {
-            result: FleetResult::assemble(self, report, recorder),
-            spill,
-            energy_totals: totals,
-            energy_clients: clients,
-        })
+        if P::ENABLED {
+            profile.add(FleetStage::Merge, merge_nanos);
+        }
+        Ok((report, recorder, profile))
     }
+}
+
+/// A per-shard profiler the shard driver can create and fold.
+trait ShardProfiler: StageProfiler + Default + Send {
+    /// Adds one shard's spans into the fleet accumulator.
+    fn fold(&mut self, shard: &Self);
+}
+
+impl ShardProfiler for NoopProfiler {
+    fn fold(&mut self, _shard: &Self) {}
+}
+
+impl ShardProfiler for StageProfile {
+    fn fold(&mut self, shard: &Self) {
+        self.merge_from(shard);
+    }
+}
+
+/// An empty flight log for shard `i`: its events carry source lane `i`.
+fn shard_log(i: usize, capacity: usize) -> FlightRecorder {
+    let mut log = FlightRecorder::with_capacity(capacity);
+    log.set_source(i as u32);
+    log
+}
+
+/// Folds per-shard flight logs pairwise into one. `merge_from` is an
+/// ordered merge under the total (time, source, seq) order, so the
+/// fold shape cannot change the merged sequence — but pairing
+/// neighbors costs O(n log shards) where the sequential fold is
+/// quadratic in the shard count.
+fn tree_fold(mut logs: Vec<FlightRecorder>, capacity: usize) -> FlightRecorder {
+    while logs.len() > 1 {
+        let mut next = Vec::with_capacity(logs.len().div_ceil(2));
+        let mut halves = logs.into_iter();
+        while let Some(mut left) = halves.next() {
+            if let Some(right) = halves.next() {
+                left.merge_from(&right);
+            }
+            next.push(left);
+        }
+        logs = next;
+    }
+    logs.pop()
+        .unwrap_or_else(|| FlightRecorder::with_capacity(capacity))
 }
 
 /// Knobs of the out-of-core streamed export
@@ -486,14 +499,8 @@ impl StreamedFleetResult {
     /// [`metrics_json_with_energy`](FleetResult::metrics_json_with_energy).
     #[must_use]
     pub fn metrics_json_with_energy(&self) -> String {
-        let energy = self.energy_metrics_section();
-        let policy = self.result.policy_metrics_section();
-        let battery = self.result.lifetime.to_metrics_section();
-        self.result.recorder.to_json_with_sections(&[
-            ("energy", &energy),
-            ("policy", &policy),
-            ("battery", &battery),
-        ])
+        self.result
+            .metrics_json_with_energy_section(&self.energy_metrics_section())
     }
 
     /// Streams the merged trace as JSON Lines into `out`, holding one
@@ -651,11 +658,16 @@ impl FleetResult {
     /// sections spliced in — still integer-only and byte-identical
     /// across reruns and `jobs` counts.
     pub fn metrics_json_with_energy(&self) -> String {
-        let energy = self.report.attribution.to_metrics_section();
+        self.metrics_json_with_energy_section(&self.report.attribution.to_metrics_section())
+    }
+
+    /// The spliced artifact around an already rendered `"energy"`
+    /// section — the in-memory ledger's or a streamed run's totals.
+    fn metrics_json_with_energy_section(&self, energy: &str) -> String {
         let policy = self.policy_metrics_section();
         let battery = self.lifetime.to_metrics_section();
         self.recorder.to_json_with_sections(&[
-            ("energy", &energy),
+            ("energy", energy),
             ("policy", &policy),
             ("battery", &battery),
         ])
@@ -842,7 +854,7 @@ mod tests {
             adoption: 1.0,
             ..small()
         };
-        let result = cfg.try_run().unwrap();
+        let result = cfg.try_run_with_jobs(hide_par::default_jobs()).unwrap();
         assert!(result.report.total_energy_j < result.report.baseline_energy_j);
         assert!(result.fleet_saving > 0.0 && result.fleet_saving < 1.0);
         assert!(result.port_message_airtime_share > 0.0);
